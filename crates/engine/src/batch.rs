@@ -27,6 +27,7 @@
 //! `sharded_equivalence` integration tests assert this on 100k-event
 //! traces.
 
+use crate::digest::QuarantineLog;
 use crate::engine::{AccessControlEngine, EngineConfig};
 use crate::retention::{HistoryWatermarks, PrunedHistory};
 use crate::shard::{PolicyView, ShardState, ShardStateImage};
@@ -540,7 +541,7 @@ pub struct ShardedEngine {
     /// Deliberately *outside* the shards: quarantined events must never
     /// touch per-subject enforcement state, and the ledger is read
     /// whole (triage, flagged query answers), not by subject hash.
-    quarantine: Mutex<Vec<QuarantinedEvent>>,
+    quarantine: Mutex<QuarantineLog>,
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -598,7 +599,7 @@ impl ShardedEngine {
                 joins,
                 alert_tx,
                 alert_seq: AtomicU64::new(seeded_seq),
-                quarantine: Mutex::new(Vec::new()),
+                quarantine: Mutex::new(QuarantineLog::default()),
             },
             alert_rx,
         )
@@ -627,13 +628,19 @@ impl ShardedEngine {
     /// Restore the quarantine ledger from a snapshot image (recovery;
     /// pairs with [`ShardedEngine::export_quarantine`]).
     pub fn load_quarantine(&self, entries: Vec<QuarantinedEvent>) {
-        *self.quarantine.lock() = entries;
+        *self.quarantine.lock() = QuarantineLog::from_vec(entries);
     }
 
     /// The full quarantine ledger, in arrival order (persistence and
     /// triage).
     pub fn export_quarantine(&self) -> Vec<QuarantinedEvent> {
-        self.quarantine.lock().clone()
+        self.quarantine.lock().to_vec()
+    }
+
+    /// The running FNV-1a fold of the quarantine ledger, in arrival
+    /// order — its part of the engine's state digest.
+    pub fn quarantine_digest(&self) -> u64 {
+        self.quarantine.lock().digest()
     }
 
     /// Number of quarantined events held.
@@ -1014,6 +1021,23 @@ impl ShardedEngine {
         let mut out = Vec::new();
         for shard in &self.shards {
             out.extend_from_slice(shard.lock().violations());
+        }
+        out
+    }
+
+    /// The violations whose time lies inside `window`, in the order of
+    /// [`ShardedEngine::violations`]. Each shard is filtered under its
+    /// own lock, so only the matches are copied.
+    pub fn violations_in(&self, window: ltam_time::Interval) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            out.extend(
+                shard
+                    .lock()
+                    .violations()
+                    .iter()
+                    .filter(|v| window.contains(v.time())),
+            );
         }
         out
     }

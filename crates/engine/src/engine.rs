@@ -18,6 +18,7 @@
 //! 4. **Rules** are re-derived on demand; revoked derived authorizations
 //!    drop their usage counters.
 
+use crate::digest::ViolationLog;
 use crate::movement::MovementsDb;
 use crate::profile::UserProfileDb;
 use crate::shard::{PolicyView, ShardState};
@@ -278,7 +279,7 @@ impl AccessControlEngine {
         // restored alerts never repeat a sequence number.
         self.alert_seq = violations.len() as u64 + violations_pruned;
         self.state.violations_pruned = violations_pruned;
-        self.state.violations = violations;
+        self.state.violations = ViolationLog::from_vec(violations);
         self.state.active_auth = active.into_iter().map(|(s, l, a)| (s, (l, a))).collect();
         self.state.pending.clear();
         self.state.overstay_alerted.clear();

@@ -30,6 +30,7 @@
 
 pub mod baseline;
 pub mod batch;
+mod digest;
 pub mod engine;
 pub mod movement;
 pub mod profile;

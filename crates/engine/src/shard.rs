@@ -23,6 +23,7 @@
 //! they raise; the caller is responsible for turning those into
 //! security-desk alerts.
 
+use crate::digest::ViolationLog;
 use crate::engine::{AuditRecord, EngineConfig};
 use crate::movement::MovementsDb;
 use crate::retention::{HistoryWatermarks, PrunedHistory};
@@ -101,7 +102,7 @@ pub struct ShardState {
     pub(crate) pending: HashMap<SubjectId, PendingGrant>,
     pub(crate) active_auth: HashMap<SubjectId, (LocationId, AuthId)>,
     pub(crate) overstay_alerted: HashSet<SubjectId>,
-    pub(crate) violations: Vec<Violation>,
+    pub(crate) violations: ViolationLog,
     pub(crate) audit: Vec<AuditRecord>,
     /// Audit records are complete from this chronon (earlier ones pruned).
     pub(crate) audit_from: Time,
@@ -135,6 +136,12 @@ impl ShardState {
     /// Violations detected by this shard, in detection order.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
+    }
+
+    /// The running FNV-1a fold of [`ShardState::violations`], in
+    /// detection order — this shard's part of the engine's state digest.
+    pub fn violation_digest(&self) -> u64 {
+        self.violations.digest()
     }
 
     /// The audited request decisions taken by this shard.
@@ -216,9 +223,8 @@ impl ShardState {
             self.audit_from = self.audit_from.max(horizon);
         }
         if policy.violations {
-            let before = self.violations.len();
-            self.violations.retain(|v| v.time() >= horizon);
-            self.violations_pruned += (before - self.violations.len()) as u64;
+            let dropped = self.violations.retain(|v| v.time() >= horizon);
+            self.violations_pruned += dropped as u64;
             self.violations_from = self.violations_from.max(horizon);
         }
     }
@@ -508,7 +514,7 @@ impl ShardState {
             pending,
             active,
             overstay_alerted,
-            violations: self.violations.clone(),
+            violations: self.violations.to_vec(),
             audit: self.audit.clone(),
             audit_from: Some(self.audit_from),
             audit_pruned: Some(self.audit_pruned),
@@ -547,7 +553,7 @@ impl ShardState {
                 .map(|(s, l, a)| (s, (l, a)))
                 .collect(),
             overstay_alerted: image.overstay_alerted.into_iter().collect(),
-            violations: image.violations,
+            violations: ViolationLog::from_vec(image.violations),
             audit: image.audit,
             audit_from: image.audit_from.unwrap_or(Time::ZERO),
             audit_pruned: image.audit_pruned.unwrap_or(0),

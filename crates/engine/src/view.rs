@@ -21,6 +21,7 @@
 //! always had.
 
 use crate::batch::{EngineStatus, PolicyCore, ShardedEngine};
+use crate::digest::Fnv;
 use crate::retention::HistoryWatermarks;
 use crate::shard::ShardState;
 use crate::violation::Violation;
@@ -127,44 +128,52 @@ impl EngineReadView {
     }
 
     /// A deterministic digest of the engine's observable enforcement
-    /// state: shard count, entry/violation totals, retention watermarks
-    /// and the full violation list in shard-merge order, folded through
-    /// FNV-1a. Two engines that ingested the same events in the same
-    /// batches with the same shard count produce the same digest — the
+    /// state, folded through FNV-1a: first a header of the shard
+    /// count, the entry and live-violation totals and the three
+    /// retention watermarks; then each shard's violation sub-digest in
+    /// shard order; then the quarantine ledger's sub-digest. A
+    /// sub-digest is the FNV-1a fold of its list's items in order, one
+    /// fixed-width field encoding per item, so the digest still sees
+    /// every field, every reordering within a shard and every move
+    /// between shards.
+    ///
+    /// Two engines that ingested the same events in the same batches
+    /// with the same shard count produce the same digest — the
     /// replication drill's cheap "is the follower byte-for-byte honest"
     /// check at a matched watermark. Not a cryptographic hash.
+    ///
+    /// The sub-digests are kept current wherever the lists change
+    /// (append, retention, restore), so a call costs O(shards): it
+    /// takes each shard lock and the quarantine lock once, briefly,
+    /// reads a few counters under each, and clones nothing. The entry
+    /// total sums each shard ledger's per-authorization counters, a
+    /// cost that follows the policy's size, not the history's.
     pub fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        fold(&(self.shard_count() as u64).to_le_bytes());
-        fold(&self.total_entries().to_le_bytes());
-        fold(&(self.violation_count() as u64).to_le_bytes());
-        let marks = self.watermarks();
-        fold(&marks.movements.0.to_le_bytes());
-        fold(&marks.audit.0.to_le_bytes());
-        fold(&marks.violations.0.to_le_bytes());
-        for v in self.violations() {
-            // `Violation`'s Debug form is a pure function of its fields
-            // (ids and chronons, no addresses), so it is a stable,
-            // process-independent serialization for hashing.
-            fold(format!("{v:?}").as_bytes());
-            fold(&[0xff]);
+        let shards = self.shard_count();
+        let mut entries = 0u64;
+        let mut violations = 0u64;
+        let mut marks = HistoryWatermarks::default();
+        let mut sub_digests = Vec::with_capacity(shards);
+        for i in 0..shards {
+            self.read_shard(i, |s| {
+                entries += s.ledger().total_entries();
+                violations += s.violations().len() as u64;
+                marks = marks.join(s.watermarks());
+                sub_digests.push(s.violation_digest());
+            });
         }
-        // The quarantine ledger is observable state too: a follower
-        // that dropped (or double-applied) a quarantine record must not
-        // digest equal to its primary.
-        for q in self.engine.export_quarantine() {
-            fold(format!("{q:?}").as_bytes());
-            fold(&[0xfe]);
+        let mut h = Fnv::new();
+        h.u64(shards as u64);
+        h.u64(entries);
+        h.u64(violations);
+        h.u64(marks.movements.0);
+        h.u64(marks.audit.0);
+        h.u64(marks.violations.0);
+        for d in sub_digests {
+            h.u64(d);
         }
-        h
+        h.u64(self.engine.quarantine_digest());
+        h.finish()
     }
 }
 

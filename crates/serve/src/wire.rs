@@ -545,9 +545,15 @@ pub struct ServerStatus {
     /// Which role this server runs in.
     pub role: ServerRole,
     /// Deterministic digest of the engine's enforcement state (see
-    /// `EngineReadView::state_digest`): equal digests at an equal
-    /// watermark mean a primary and follower agree on every violation,
-    /// entry total and retention mark.
+    /// `EngineReadView::state_digest`): FNV-1a over the shard count,
+    /// entry and violation totals and retention watermarks, then each
+    /// shard's violation sub-digest in shard order, then the quarantine
+    /// ledger's sub-digest. Equal digests at an equal watermark mean a
+    /// primary and follower agree on every violation, quarantined
+    /// event, entry total and retention mark. The sub-digests are kept
+    /// current as the lists change, so this field costs O(shards) under
+    /// brief shard locks, however long the history. Compare digests
+    /// only between nodes running the same build.
     pub state_digest: u64,
     /// Replication health — `Some` only on a follower.
     pub replica: Option<ReplicaStatus>,

@@ -191,11 +191,6 @@ pub fn merged_violations(
     let mut out = archive
         .map(|a| a.violations_in(window, live_from))
         .unwrap_or_default();
-    out.extend(
-        engine
-            .violations()
-            .into_iter()
-            .filter(|v| window.contains(v.time())),
-    );
+    out.extend(engine.violations_in(window));
     out
 }

@@ -5,7 +5,7 @@
 //! in-flight batches, and followers refuse situation frames.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ltam::core::decision::{Decision, DenyReason};
 use ltam::core::model::{Authorization, EntryLimit};
@@ -389,17 +389,30 @@ fn mode_swaps_are_atomic_with_respect_to_in_flight_batches() {
         .collect();
 
     let done = AtomicBool::new(false);
+    let saw_granted = AtomicBool::new(false);
+    let saw_denied = AtomicBool::new(false);
     let (mixed, granted_batches, denied_batches) = std::thread::scope(|scope| {
         let flipper = scope.spawn(|| {
-            for i in 0..400 {
+            // At least 400 flips, then on until the ingest loop has seen a
+            // batch under each declaration: on a loaded machine the ingest
+            // thread can sit descheduled through the first 400. The
+            // deadline keeps a machine that never interleaves from hanging
+            // the test; the both-outcomes assertion below then fails.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut i = 0u64;
+            while i < 400
+                || (!(saw_granted.load(Ordering::Acquire) && saw_denied.load(Ordering::Acquire))
+                    && Instant::now() < deadline)
+            {
                 engine.update_policy(|p| {
-                    p.apply_situation(&if i % 2 == 0 {
+                    p.apply_situation(&if i.is_multiple_of(2) {
                         emergency(1, 1_000_000)
                     } else {
                         SituationOp::Declare(SituationMode::Normal)
                     });
                 });
                 std::thread::yield_now();
+                i += 1;
             }
             done.store(true, Ordering::Release);
         });
@@ -409,8 +422,14 @@ fn mode_swaps_are_atomic_with_respect_to_in_flight_batches() {
         while !done.load(Ordering::Acquire) {
             let outcome = engine.ingest(&batch);
             match outcome.granted {
-                0 => denied_batches += 1,
-                g if g == batch.len() => granted_batches += 1,
+                0 => {
+                    denied_batches += 1;
+                    saw_denied.store(true, Ordering::Release);
+                }
+                g if g == batch.len() => {
+                    granted_batches += 1;
+                    saw_granted.store(true, Ordering::Release);
+                }
                 _ => mixed += 1,
             }
         }
