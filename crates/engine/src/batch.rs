@@ -658,8 +658,8 @@ impl ShardedEngine {
     ) -> Vec<QuarantinedEvent> {
         self.quarantine
             .lock()
-            .iter()
-            .filter(|q| q.event.subject() == Some(subject) && window.contains(q.event.time()))
+            .in_window(window)
+            .filter(|q| q.event.subject() == Some(subject))
             .copied()
             .collect()
     }
@@ -673,8 +673,8 @@ impl ShardedEngine {
     ) -> Vec<QuarantinedEvent> {
         self.quarantine
             .lock()
-            .iter()
-            .filter(|q| source.is_none_or(|s| q.source == s) && window.contains(q.event.time()))
+            .in_window(window)
+            .filter(|q| source.is_none_or(|s| q.source == s))
             .copied()
             .collect()
     }
@@ -1026,18 +1026,13 @@ impl ShardedEngine {
     }
 
     /// The violations whose time lies inside `window`, in the order of
-    /// [`ShardedEngine::violations`]. Each shard is filtered under its
-    /// own lock, so only the matches are copied.
+    /// [`ShardedEngine::violations`]. Each shard answers under one lock
+    /// from its time index, so the cost is the matches plus a range
+    /// search over its time buckets, not the shard's whole list.
     pub fn violations_in(&self, window: ltam_time::Interval) -> Vec<Violation> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(
-                shard
-                    .lock()
-                    .violations()
-                    .iter()
-                    .filter(|v| window.contains(v.time())),
-            );
+            out.extend(shard.lock().violations.in_window(window));
         }
         out
     }

@@ -12,9 +12,16 @@
 //! Items fold through [`Digestible`], a fixed-width field encoding with
 //! a variant tag byte: no allocation per item, and no dependence on a
 //! `Debug` rendering.
+//!
+//! The same single owner of every mutation keeps a second derived
+//! structure: item positions grouped by time bucket, so a time-window
+//! query ([`DigestLog::in_window`]) reads only the buckets it touches
+//! instead of filtering the whole list.
 
 use crate::batch::{Event, QuarantinedEvent};
 use crate::violation::Violation;
+use ltam_time::{Bound, Interval, Time};
+use std::collections::BTreeMap;
 use std::ops::Deref;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -150,6 +157,24 @@ impl Digestible for Event {
     }
 }
 
+/// A record with a time, by which a [`DigestLog`] indexes it.
+pub trait Timed {
+    /// When the record happened.
+    fn time(&self) -> Time;
+}
+
+impl Timed for Violation {
+    fn time(&self) -> Time {
+        Violation::time(self)
+    }
+}
+
+impl Timed for QuarantinedEvent {
+    fn time(&self) -> Time {
+        self.event.time()
+    }
+}
+
 impl Digestible for QuarantinedEvent {
     fn fold_into(&self, h: &mut Fnv) {
         h.u32(self.source.0);
@@ -159,16 +184,41 @@ impl Digestible for QuarantinedEvent {
 }
 
 /// A list together with the running FNV-1a digest of its items, in
-/// order. Every way to change the list goes through this type, so the
-/// digest can never go stale: [`push`](DigestLog::push) and
-/// [`extend`](DigestLog::extend) fold the new items,
-/// [`retain`](DigestLog::retain) refolds the survivors in its one
-/// pass, and [`from_vec`](DigestLog::from_vec) folds a restored list
-/// whole. Reads go through `Deref<Target = [T]>`.
+/// order, and an index of its positions by item time. Every way to
+/// change the list goes through this type, so neither can go stale:
+/// [`push`](DigestLog::push) and [`extend`](DigestLog::extend) fold and
+/// index the new items, [`retain`](DigestLog::retain) refolds the
+/// survivors and remaps the index, and [`from_vec`](DigestLog::from_vec)
+/// folds and indexes a restored list whole. Reads go through
+/// `Deref<Target = [T]>`.
+///
+/// The index groups positions by time bucket ([`BUCKET_BITS`]), each
+/// group in list order. Detection order can run far from time order:
+/// each subject's events carry its own clock, so a fast subject's
+/// violations land far ahead of a slow one's on the same shard. A push
+/// therefore appends to its bucket's group instead of inserting into
+/// one sorted sequence, which would touch a spot deep inside it.
 #[derive(Debug)]
 pub struct DigestLog<T> {
     items: Vec<T>,
     digest: Fnv,
+    /// Positions into `items` by time bucket, each group ascending.
+    by_time: BTreeMap<u64, Vec<u32>>,
+}
+
+/// A time bucket spans `2^BUCKET_BITS` chronons. A window query reads
+/// every position in the buckets it touches, so it scans its answer
+/// plus at most the two partly covered buckets at its edges.
+const BUCKET_BITS: u32 = 6;
+
+fn bucket(t: Time) -> u64 {
+    t.get() >> BUCKET_BITS
+}
+
+/// An index position. Memory bounds a list far below `u32::MAX` items,
+/// so the index stores 4-byte positions.
+fn position(index: usize) -> u32 {
+    u32::try_from(index).expect("a log holds fewer than 2^32 items")
 }
 
 /// A shard's violations, in detection order.
@@ -182,23 +232,32 @@ impl<T> Default for DigestLog<T> {
         DigestLog {
             items: Vec::new(),
             digest: Fnv::new(),
+            by_time: BTreeMap::new(),
         }
     }
 }
 
-impl<T: Digestible> DigestLog<T> {
+impl<T: Digestible + Timed> DigestLog<T> {
     /// Take ownership of a list (a restored image), folding every item.
     pub fn from_vec(items: Vec<T>) -> DigestLog<T> {
-        let mut digest = Fnv::new();
-        for item in &items {
-            item.fold_into(&mut digest);
+        let mut log = DigestLog {
+            items: Vec::with_capacity(items.len()),
+            ..DigestLog::default()
+        };
+        for item in items {
+            log.push(item);
         }
-        DigestLog { items, digest }
+        log
     }
 
     /// Append one item.
     pub fn push(&mut self, item: T) {
         item.fold_into(&mut self.digest);
+        let position = position(self.items.len());
+        self.by_time
+            .entry(bucket(item.time()))
+            .or_default()
+            .push(position);
         self.items.push(item);
     }
 
@@ -214,15 +273,49 @@ impl<T: Digestible> DigestLog<T> {
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) -> usize {
         let before = self.items.len();
         let mut digest = Fnv::new();
+        // Each item's new position, or `None` if dropped.
+        let mut moved_to = Vec::with_capacity(before);
+        let mut kept = 0u32;
         self.items.retain(|item| {
-            let kept = keep(item);
-            if kept {
+            if keep(item) {
                 item.fold_into(&mut digest);
+                moved_to.push(Some(kept));
+                kept += 1;
+                true
+            } else {
+                moved_to.push(None);
+                false
             }
-            kept
         });
         self.digest = digest;
+        for positions in self.by_time.values_mut() {
+            positions.retain_mut(|p| match moved_to[*p as usize] {
+                Some(q) => {
+                    *p = q;
+                    true
+                }
+                None => false,
+            });
+        }
+        self.by_time.retain(|_, positions| !positions.is_empty());
         before - self.items.len()
+    }
+
+    /// The items whose time lies inside `window`, in list order: a range
+    /// search over the time buckets, then their positions alone.
+    pub fn in_window(&self, window: Interval) -> impl Iterator<Item = &T> + '_ {
+        let from = bucket(window.start());
+        let buckets = match window.end() {
+            Bound::At(end) => self.by_time.range(from..=bucket(end)),
+            Bound::Unbounded => self.by_time.range(from..),
+        };
+        let mut hits: Vec<u32> = buckets
+            .flat_map(|(_, positions)| positions)
+            .copied()
+            .filter(|&p| window.contains(self.items[p as usize].time()))
+            .collect();
+        hits.sort_unstable();
+        hits.into_iter().map(|p| &self.items[p as usize])
     }
 
     /// The FNV-1a fold of every item, in order (the offset basis when
@@ -548,6 +641,55 @@ mod tests {
             vec![quarantined(3), quarantined(4)],
         );
         assert_ne!(extra, base, "one extra quarantined event");
+    }
+
+    #[test]
+    fn the_time_index_answers_like_a_linear_filter() {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        let mut log = ViolationLog::default();
+        let mut clock = 100u64;
+        for step in 0..3000 {
+            match rng.below(10) {
+                // Mostly in time order, sometimes well behind it.
+                0..=5 => {
+                    clock += rng.below(3);
+                    let late = if rng.below(4) == 0 { rng.below(40) } else { 0 };
+                    log.push(entry(clock - late, rng.below(8) as u32, 1));
+                }
+                6 => log.extend((0..rng.below(5)).map(|_| entry(rng.below(clock), 2, 2))),
+                7 => {
+                    let salt = rng.below(7);
+                    log.retain(|v| !(v.time().0 + salt).is_multiple_of(7));
+                }
+                8 => {
+                    let digest = log.digest();
+                    log = ViolationLog::from_vec(log.to_vec());
+                    assert_eq!(log.digest(), digest);
+                }
+                _ => {
+                    let start = rng.below(clock + 5);
+                    let window = if rng.below(4) == 0 {
+                        Interval::from_start(start)
+                    } else {
+                        Interval::lit(start, start + rng.below(30))
+                    };
+                    let naive: Vec<&Violation> =
+                        log.iter().filter(|v| window.contains(v.time())).collect();
+                    let got: Vec<&Violation> = log.in_window(window).collect();
+                    assert_eq!(got, naive, "step {step}, window {window}");
+                }
+            }
+            let mut indexed = Vec::new();
+            for (&b, positions) in &log.by_time {
+                assert!(positions.windows(2).all(|w| w[0] < w[1]));
+                assert!(positions
+                    .iter()
+                    .all(|&p| bucket(log[p as usize].time()) == b));
+                indexed.extend_from_slice(positions);
+            }
+            indexed.sort_unstable();
+            assert!(indexed.iter().copied().eq(0..log.len() as u32));
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use batch::{
     ShardedEngine,
 };
 pub use engine::{AccessControlEngine, AuditRecord, EngineConfig, DEFAULT_GRANT_TTL};
-pub use movement::{Contact, MovementEvent, MovementKind, MovementsDb, Stay};
+pub use movement::{Contact, MovementEvent, MovementKind, MovementsDb, Stay, TimelineError};
 pub use profile::{Profile, UserProfileDb};
 pub use query::{Query, QueryContext, QueryResult};
 pub use report::{security_report, SecurityReport};

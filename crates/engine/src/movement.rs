@@ -126,6 +126,31 @@ impl fmt::Display for MovementError {
 
 impl std::error::Error for MovementError {}
 
+/// A stored timeline that breaks the invariant the history queries
+/// search by (see [`MovementsDb::check_timelines`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimelineError {
+    /// Whose timeline.
+    pub subject: SubjectId,
+    /// Position of the first stay out of order.
+    pub index: usize,
+    /// That stay.
+    pub stay: Stay,
+}
+
+impl fmt::Display for TimelineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let exit = self.stay.exit.map_or("open".to_string(), |e| e.to_string());
+        write!(
+            f,
+            "timeline of {} is not chronological at stay {} ({} entered at {}, exit {})",
+            self.subject, self.index, self.stay.location, self.stay.enter, exit
+        )
+    }
+}
+
+impl std::error::Error for TimelineError {}
+
 /// The movements store.
 ///
 /// ## Retention
@@ -270,14 +295,28 @@ impl MovementsDb {
     }
 
     /// Where the subject was at time `t` (historically).
+    ///
+    /// Only the last stay entered at or before `t` can contain it: a
+    /// timeline is chronological with nondecreasing exits (see
+    /// [`MovementsDb::check_timelines`]).
     pub fn whereabouts(&self, subject: SubjectId, t: Time) -> Option<LocationId> {
         let stays = self.timelines.get(&subject)?;
         let idx = stays.partition_point(|s| s.enter <= t);
         stays[..idx]
-            .iter()
-            .rev()
-            .find(|s| s.interval().contains(t))
+            .last()
+            .filter(|s| s.interval().contains(t))
             .map(|s| s.location)
+    }
+
+    /// The run of `stays` that can overlap `window`: stays entered at
+    /// or before its end whose exit is not before its start. Two binary
+    /// searches, because enters and exits are both nondecreasing.
+    fn overlapping(stays: &[Stay], window: Interval) -> &[Stay] {
+        let lo = stays.partition_point(|s| matches!(s.exit, Some(e) if e < window.start()));
+        let hi = stays.partition_point(|s| window.end().admits(s.enter));
+        // lo <= hi on every timeline `check_timelines` accepts; the max
+        // keeps an unchecked one from panicking the query.
+        &stays[lo..hi.max(lo)]
     }
 
     /// Subjects present in `location` at any point of `window`, with their
@@ -289,7 +328,7 @@ impl MovementsDb {
     ) -> Vec<(SubjectId, Interval)> {
         let mut out = Vec::new();
         for (&subject, stays) in &self.timelines {
-            for s in stays {
+            for s in Self::overlapping(stays, window) {
                 if s.location == location {
                     if let Some(overlap) = s.interval().intersect(window) {
                         out.push((subject, overlap));
@@ -301,22 +340,25 @@ impl MovementsDb {
         out
     }
 
+    /// The subject's exposures over `window`: each stay overlapping it,
+    /// as `(location, stay ∩ window)`, chronological.
+    pub fn exposures(&self, subject: SubjectId, window: Interval) -> Vec<(LocationId, Interval)> {
+        Self::overlapping(self.timeline(subject), window)
+            .iter()
+            .filter_map(|s| Some((s.location, s.interval().intersect(window)?)))
+            .collect()
+    }
+
     /// Everyone who was co-located with `subject` during `window` — the
     /// contact-tracing join (§1's SARS scenario).
     pub fn contacts(&self, subject: SubjectId, window: Interval) -> Vec<Contact> {
         let mut out = Vec::new();
-        let Some(stays) = self.timelines.get(&subject) else {
-            return out;
-        };
-        for s in stays {
-            let Some(exposure) = s.interval().intersect(window) else {
-                continue;
-            };
-            for (other, overlap) in self.present_during(s.location, exposure) {
+        for (location, exposure) in self.exposures(subject, window) {
+            for (other, overlap) in self.present_during(location, exposure) {
                 if other != subject {
                     out.push(Contact {
                         other,
-                        location: s.location,
+                        location,
                         overlap,
                     });
                 }
@@ -336,6 +378,35 @@ impl MovementsDb {
                     .map(|stay| (s, *stay))
             })
             .collect()
+    }
+
+    /// Check the invariant the history queries rely on: in each
+    /// subject's timeline every stay exits no earlier than it enters,
+    /// and every stay but the last is closed no later than the next one
+    /// enters. So enters and exits are both nondecreasing, and
+    /// [`whereabouts`](MovementsDb::whereabouts),
+    /// [`present_during`](MovementsDb::present_during) and
+    /// [`contacts`](MovementsDb::contacts) can binary-search a
+    /// timeline. `record_enter`/`record_exit` keep it (the
+    /// time-regression guard); a store deserialized from an image is
+    /// only as good as the image, so importers call this first.
+    pub fn check_timelines(&self) -> Result<(), TimelineError> {
+        for (&subject, stays) in &self.timelines {
+            let mut prev_exit = Some(Time::ZERO);
+            for (index, &stay) in stays.iter().enumerate() {
+                let ordered = matches!(prev_exit, Some(e) if e <= stay.enter)
+                    && stay.exit.is_none_or(|e| stay.enter <= e);
+                if !ordered {
+                    return Err(TimelineError {
+                        subject,
+                        index,
+                        stay,
+                    });
+                }
+                prev_exit = stay.exit;
+            }
+        }
+        Ok(())
     }
 
     // --- retention ----------------------------------------------------------
@@ -571,6 +642,60 @@ mod tests {
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].other, ALICE);
         assert_eq!(back[0].overlap, Interval::lit(15, 20));
+    }
+
+    #[test]
+    fn window_edges_and_point_windows_count_as_overlap() {
+        let mut db = MovementsDb::new();
+        db.record_enter(Time(10), ALICE, CAIS).unwrap();
+        db.record_exit(Time(20), ALICE, CAIS).unwrap();
+        db.record_enter(Time(20), ALICE, CAIS).unwrap();
+        db.record_exit(Time(30), ALICE, CAIS).unwrap();
+        // The window ends where the first stay starts, and starts where
+        // the last one ends: both touch it for one chronon.
+        assert_eq!(
+            db.present_during(CAIS, Interval::lit(0, 10)),
+            vec![(ALICE, Interval::point(10))]
+        );
+        assert_eq!(
+            db.present_during(CAIS, Interval::from_start(30)),
+            vec![(ALICE, Interval::point(30))]
+        );
+        // A point window at a same-chronon re-entry sees both stays.
+        assert_eq!(
+            db.present_during(CAIS, Interval::point(20)),
+            vec![(ALICE, Interval::point(20)), (ALICE, Interval::point(20))]
+        );
+        assert!(db.present_during(CAIS, Interval::lit(31, 40)).is_empty());
+        assert!(db.present_during(CAIS, Interval::lit(0, 9)).is_empty());
+        assert_eq!(db.exposures(ALICE, Interval::lit(25, 40)).len(), 1);
+    }
+
+    #[test]
+    fn check_timelines_rejects_out_of_order_stays() {
+        let mut db = pruneable_db();
+        assert_eq!(db.check_timelines(), Ok(()));
+        let stay = |enter, exit: Option<u64>| Stay {
+            location: CAIS,
+            enter: Time(enter),
+            exit: exit.map(Time),
+        };
+        for (bad, index) in [
+            (vec![stay(30, Some(40)), stay(10, Some(20))], 1),
+            (vec![stay(10, Some(20)), stay(15, Some(40))], 1),
+            (vec![stay(10, None), stay(30, Some(40))], 1),
+            (vec![stay(10, Some(5))], 0),
+        ] {
+            db.timelines.insert(BOB, bad.clone());
+            assert_eq!(
+                db.check_timelines(),
+                Err(TimelineError {
+                    subject: BOB,
+                    index,
+                    stay: bad[index],
+                })
+            );
+        }
     }
 
     #[test]

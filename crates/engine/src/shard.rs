@@ -23,9 +23,10 @@
 //! they raise; the caller is responsible for turning those into
 //! security-desk alerts.
 
+use crate::batch::shard_of;
 use crate::digest::ViolationLog;
 use crate::engine::{AuditRecord, EngineConfig};
-use crate::movement::MovementsDb;
+use crate::movement::{MovementKind, MovementsDb};
 use crate::retention::{HistoryWatermarks, PrunedHistory};
 use crate::violation::Violation;
 use ltam_core::db::{AuthId, AuthorizationDb};
@@ -616,9 +617,9 @@ pub struct PendingImage {
 ///
 /// Produced by [`ShardState::image`], consumed by
 /// [`ShardState::from_image`]; `ltam-store` persists a vector of these
-/// (one per shard) inside every engine snapshot. All fields are public so
-/// the store layer can redistribute subject-keyed state when an engine is
-/// recovered onto a different shard count.
+/// (one per shard) inside every engine snapshot. [`redistribute`]
+/// re-deals subject-keyed state when an engine is recovered onto a
+/// different shard count.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardStateImage {
     /// Per-authorization entry counters.
@@ -645,6 +646,100 @@ pub struct ShardStateImage {
     /// Violations dropped by retention (`None` = 0); carried so the
     /// alert sequence resumes past pruned violations after recovery.
     pub violations_pruned: Option<u64>,
+}
+
+/// Re-key per-subject state onto a different shard count: every piece of
+/// a [`ShardStateImage`] is either keyed by subject (movements, pending
+/// grants, active stays, overstay flags, violations, audit) or owned by
+/// exactly one subject's authorization (ledger counters), so images can
+/// be split and re-dealt without touching enforcement semantics.
+pub fn redistribute(
+    images: Vec<ShardStateImage>,
+    shards: usize,
+    db: &AuthorizationDb,
+) -> Vec<ShardStateImage> {
+    assert!(shards >= 1, "need at least one shard");
+    let mut out: Vec<ShardStateImage> = (0..shards).map(|_| ShardStateImage::default()).collect();
+    // Retention bookkeeping redistributes too: class watermarks join to
+    // the max (sources pruned in lockstep, but a max is always sound —
+    // claiming completeness below any source's watermark would not be),
+    // and the pruned-record counters are global totals, parked on
+    // shard 0 like revoked-authorization ledger counters.
+    let movements_from = images
+        .iter()
+        .map(|i| i.movements.watermark())
+        .max()
+        .unwrap_or(Time::ZERO);
+    let audit_from = images.iter().filter_map(|i| i.audit_from).max();
+    let violations_from = images.iter().filter_map(|i| i.violations_from).max();
+    let events_pruned: u64 = images.iter().map(|i| i.movements.pruned_events()).sum();
+    let audit_pruned: u64 = images.iter().filter_map(|i| i.audit_pruned).sum();
+    let violations_pruned: u64 = images.iter().filter_map(|i| i.violations_pruned).sum();
+    for image in images {
+        for event in image.movements.log() {
+            let target = &mut out[shard_of(event.subject, shards)].movements;
+            // Each subject's log replays in original order on its new
+            // shard, so the physical-consistency checks cannot fire.
+            let replayed = match event.kind {
+                MovementKind::Enter => {
+                    target.record_enter(event.time, event.subject, event.location)
+                }
+                MovementKind::Exit => target.record_exit(event.time, event.subject, event.location),
+            };
+            debug_assert!(replayed.is_ok(), "shard-local movement logs replay cleanly");
+        }
+        // After the replay (which rebuilds the guard for surviving
+        // events), merge the source's latest-time guards so subjects
+        // whose history was entirely pruned keep their time-regression
+        // protection on the new shard.
+        for (s, t) in image.movements.latest_times() {
+            out[shard_of(s, shards)].movements.observe_latest(s, t);
+        }
+        for p in image.pending {
+            out[shard_of(p.subject, shards)].pending.push(p);
+        }
+        for entry in image.active {
+            out[shard_of(entry.0, shards)].active.push(entry);
+        }
+        for s in image.overstay_alerted {
+            out[shard_of(s, shards)].overstay_alerted.push(s);
+        }
+        for v in image.violations {
+            out[shard_of(v.subject(), shards)].violations.push(v);
+        }
+        for record in image.audit {
+            out[shard_of(record.request.subject, shards)]
+                .audit
+                .push(record);
+        }
+        for (id, count) in image.ledger.counts() {
+            // An authorization belongs to exactly one subject; counters
+            // for revoked (absent) authorizations land on shard 0, where
+            // they are as inert as they were on their old shard.
+            let target = db
+                .get(id)
+                .map(|auth| shard_of(auth.subject(), shards))
+                .unwrap_or(0);
+            let merged = out[target].ledger.used(id).saturating_add(count);
+            out[target].ledger.restore_count(id, merged);
+        }
+    }
+    for image in &mut out {
+        image.pending.sort_by_key(|p| p.subject);
+        image.active.sort_by_key(|&(s, _, _)| s);
+        image.overstay_alerted.sort();
+        image.movements.set_watermark(movements_from);
+        image.audit_from = audit_from;
+        image.violations_from = violations_from;
+    }
+    out[0].movements.add_pruned_events(events_pruned);
+    if audit_pruned > 0 {
+        out[0].audit_pruned = Some(audit_pruned);
+    }
+    if violations_pruned > 0 {
+        out[0].violations_pruned = Some(violations_pruned);
+    }
+    out
 }
 
 #[cfg(test)]

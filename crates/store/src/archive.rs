@@ -647,8 +647,11 @@ impl ArchiveData {
     }
 
     /// Where `subject` was at `t`, per applied archived stays (mirrors
-    /// [`ltam_engine::movement::MovementsDb::whereabouts`]: the latest
-    /// stay containing `t` wins).
+    /// [`ltam_engine::movement::MovementsDb::whereabouts`]). Archived
+    /// stays are closed stays of one chronological timeline, so only the
+    /// last applied stay entered at or before `t` can contain it: if its
+    /// exit is before `t`, every earlier one's is too and the search
+    /// stops there.
     pub fn whereabouts(
         &self,
         subject: SubjectId,
@@ -660,8 +663,8 @@ impl ArchiveData {
         stays[..idx]
             .iter()
             .rev()
-            .filter(|&&(f, _)| applied(f, applied_below))
-            .find(|(_, s)| s.interval().contains(t))
+            .find(|&&(f, _)| applied(f, applied_below))
+            .filter(|(_, s)| s.interval().contains(t))
             .map(|(_, s)| s.location)
     }
 
@@ -778,6 +781,37 @@ mod tests {
                 (SubjectId(1), Interval::lit(20, 25)),
             ]
         );
+    }
+
+    #[test]
+    fn whereabouts_misses_stop_at_the_latest_applied_stay() {
+        let subject = SubjectId(1);
+        let stay = |enter, exit| Stay {
+            location: LocationId(2),
+            enter: Time(enter),
+            exit: Some(Time(exit)),
+        };
+        // Two applied stays from segment 0, then a stranded segment
+        // starting at the watermark 50 whose stay predates the query.
+        let data = ArchiveData {
+            stays: BTreeMap::from([(
+                subject,
+                vec![(0, stay(5, 10)), (0, stay(20, 30)), (50, stay(35, 40))],
+            )]),
+            ..ArchiveData::default()
+        };
+        let at = |t| data.whereabouts(subject, Time(t), Time(50));
+        assert_eq!(at(7), Some(LocationId(2)));
+        assert_eq!(at(15), None, "a miss between two applied stays");
+        assert_eq!(at(30), Some(LocationId(2)));
+        assert_eq!(at(37), None, "the stranded stay is answered live");
+        assert_eq!(at(45), None, "past the stranded stay");
+        // Read standalone, the same segment counts.
+        assert_eq!(
+            data.whereabouts(subject, Time(37), Time::MAX),
+            Some(LocationId(2))
+        );
+        assert_eq!(data.whereabouts(SubjectId(9), Time(7), Time::MAX), None);
     }
 
     #[test]

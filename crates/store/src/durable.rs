@@ -39,10 +39,9 @@ use ltam_core::db::AuthId;
 use ltam_core::model::Authorization;
 use ltam_core::retention::RetentionPolicy;
 use ltam_core::subject::SubjectId;
-use ltam_core::AuthorizationDb;
-use ltam_engine::batch::{shard_of, BatchOutcome, Event, PolicyCore, ShardedEngine};
-use ltam_engine::movement::{Contact, MovementKind};
-use ltam_engine::shard::{ShardState, ShardStateImage};
+use ltam_engine::batch::{BatchOutcome, Event, PolicyCore, ShardedEngine};
+use ltam_engine::movement::Contact;
+use ltam_engine::shard::{redistribute, ShardState};
 use ltam_engine::violation::Alert;
 use ltam_engine::EngineReadView;
 use ltam_engine::Violation;
@@ -526,6 +525,16 @@ impl DurableEngine {
         // right floor.
         let enforcement_epoch = snap.enforcement_epoch.unwrap_or(snap.policy_epoch);
         let snapshot_quarantine = snap.quarantine.unwrap_or_default();
+        // History queries binary-search every timeline, so a
+        // non-chronological one would make them answer wrongly without a
+        // sound. Refuse it here, where both crash recovery and a
+        // follower's bootstrap import the snapshot's images.
+        for image in &snap.states {
+            image
+                .movements
+                .check_timelines()
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        }
         let policy = PolicyCore::from_image(snap.policy);
         let shards = shards_override.unwrap_or(snap.shards);
         let images = if shards == snap.shards {
@@ -1637,100 +1646,6 @@ pub struct RetentionOutcome {
     pub archive_to: u64,
 }
 
-/// Re-key per-subject state onto a different shard count: every piece of
-/// a [`ShardStateImage`] is either keyed by subject (movements, pending
-/// grants, active stays, overstay flags, violations, audit) or owned by
-/// exactly one subject's authorization (ledger counters), so images can
-/// be split and re-dealt without touching enforcement semantics.
-pub fn redistribute(
-    images: Vec<ShardStateImage>,
-    shards: usize,
-    db: &AuthorizationDb,
-) -> Vec<ShardStateImage> {
-    assert!(shards >= 1, "need at least one shard");
-    let mut out: Vec<ShardStateImage> = (0..shards).map(|_| ShardStateImage::default()).collect();
-    // Retention bookkeeping redistributes too: class watermarks join to
-    // the max (sources pruned in lockstep, but a max is always sound —
-    // claiming completeness below any source's watermark would not be),
-    // and the pruned-record counters are global totals, parked on
-    // shard 0 like revoked-authorization ledger counters.
-    let movements_from = images
-        .iter()
-        .map(|i| i.movements.watermark())
-        .max()
-        .unwrap_or(Time::ZERO);
-    let audit_from = images.iter().filter_map(|i| i.audit_from).max();
-    let violations_from = images.iter().filter_map(|i| i.violations_from).max();
-    let events_pruned: u64 = images.iter().map(|i| i.movements.pruned_events()).sum();
-    let audit_pruned: u64 = images.iter().filter_map(|i| i.audit_pruned).sum();
-    let violations_pruned: u64 = images.iter().filter_map(|i| i.violations_pruned).sum();
-    for image in images {
-        for event in image.movements.log() {
-            let target = &mut out[shard_of(event.subject, shards)].movements;
-            // Each subject's log replays in original order on its new
-            // shard, so the physical-consistency checks cannot fire.
-            let replayed = match event.kind {
-                MovementKind::Enter => {
-                    target.record_enter(event.time, event.subject, event.location)
-                }
-                MovementKind::Exit => target.record_exit(event.time, event.subject, event.location),
-            };
-            debug_assert!(replayed.is_ok(), "shard-local movement logs replay cleanly");
-        }
-        // After the replay (which rebuilds the guard for surviving
-        // events), merge the source's latest-time guards so subjects
-        // whose history was entirely pruned keep their time-regression
-        // protection on the new shard.
-        for (s, t) in image.movements.latest_times() {
-            out[shard_of(s, shards)].movements.observe_latest(s, t);
-        }
-        for p in image.pending {
-            out[shard_of(p.subject, shards)].pending.push(p);
-        }
-        for entry in image.active {
-            out[shard_of(entry.0, shards)].active.push(entry);
-        }
-        for s in image.overstay_alerted {
-            out[shard_of(s, shards)].overstay_alerted.push(s);
-        }
-        for v in image.violations {
-            out[shard_of(v.subject(), shards)].violations.push(v);
-        }
-        for record in image.audit {
-            out[shard_of(record.request.subject, shards)]
-                .audit
-                .push(record);
-        }
-        for (id, count) in image.ledger.counts() {
-            // An authorization belongs to exactly one subject; counters
-            // for revoked (absent) authorizations land on shard 0, where
-            // they are as inert as they were on their old shard.
-            let target = db
-                .get(id)
-                .map(|auth| shard_of(auth.subject(), shards))
-                .unwrap_or(0);
-            let merged = out[target].ledger.used(id).saturating_add(count);
-            out[target].ledger.restore_count(id, merged);
-        }
-    }
-    for image in &mut out {
-        image.pending.sort_by_key(|p| p.subject);
-        image.active.sort_by_key(|&(s, _, _)| s);
-        image.overstay_alerted.sort();
-        image.movements.set_watermark(movements_from);
-        image.audit_from = audit_from;
-        image.violations_from = violations_from;
-    }
-    out[0].movements.add_pruned_events(events_pruned);
-    if audit_pruned > 0 {
-        out[0].audit_pruned = Some(audit_pruned);
-    }
-    if violations_pruned > 0 {
-        out[0].violations_pruned = Some(violations_pruned);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1923,6 +1838,72 @@ mod tests {
             .map(|s| durable.engine().read_shard(s, |st| st.audit().len()))
             .sum();
         assert_eq!(audits, 210, "no event between the snapshots was lost");
+    }
+
+    #[test]
+    fn a_snapshot_with_a_non_chronological_timeline_is_refused() {
+        use ltam_engine::movement::{MovementsDb, TimelineError};
+        let dir = ScratchDir::new("durable-bad-timeline");
+        let (core, alice, cais) = campus_core();
+        {
+            let (mut durable, _alerts) =
+                DurableEngine::create(dir.path(), core, 2, test_config()).unwrap();
+            for (t, enter) in [(10, true), (20, false), (30, true), (40, false)] {
+                let event = if enter {
+                    Event::Enter {
+                        time: Time(t),
+                        subject: alice,
+                        location: cais,
+                    }
+                } else {
+                    Event::Exit {
+                        time: Time(t),
+                        subject: alice,
+                        location: cais,
+                    }
+                };
+                durable.ingest(&[event]).unwrap();
+            }
+            durable.snapshot().unwrap();
+        }
+        // Hand-edit the image: Alice's second stay now enters at 5,
+        // before her first one exits.
+        let snapshots = SnapshotStore::with_fsync(dir.path(), false);
+        let mut snap = snapshots.load_latest().unwrap().unwrap();
+        let shard = snap
+            .states
+            .iter()
+            .position(|i| !i.movements.timeline(alice).is_empty())
+            .unwrap();
+        let json = serde_json::to_string(&snap.states[shard].movements).unwrap();
+        let stay = |enter: u64, exit: u64| {
+            serde_json::to_string(&ltam_engine::movement::Stay {
+                location: cais,
+                enter: Time(enter),
+                exit: Some(Time(exit)),
+            })
+            .unwrap()
+        };
+        assert!(json.contains(&stay(30, 40)), "{json}");
+        let bad: MovementsDb =
+            serde_json::from_str(&json.replace(&stay(30, 40), &stay(5, 40))).unwrap();
+        snap.states[shard].movements = bad;
+        snapshots.write(&snap).unwrap();
+
+        for shards in [None, Some(3)] {
+            let err = match shards {
+                None => DurableEngine::open(dir.path(), test_config()),
+                Some(n) => DurableEngine::open_with_shards(dir.path(), test_config(), n),
+            }
+            .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let cause = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<TimelineError>())
+                .expect("a typed timeline error");
+            assert_eq!((cause.subject, cause.index), (alice, 1));
+            assert_eq!(cause.stay.enter, Time(5));
+        }
     }
 
     #[test]

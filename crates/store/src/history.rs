@@ -31,7 +31,7 @@
 use crate::archive::ArchiveData;
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::ShardedEngine;
-use ltam_engine::movement::{Contact, Stay};
+use ltam_engine::movement::Contact;
 use ltam_engine::Violation;
 use ltam_graph::LocationId;
 use ltam_time::{Interval, Time};
@@ -83,12 +83,6 @@ impl From<io::Error> for HistoryError {
     }
 }
 
-/// Every stay of `subject` still in live state (one shard holds them all).
-fn live_stays_of(engine: &ShardedEngine, subject: SubjectId) -> Vec<Stay> {
-    let shard = engine.shard_for(subject);
-    engine.read_shard(shard, |st| st.movements().timeline(subject).to_vec())
-}
-
 /// Live presences in `location` over `window`, across all shards.
 fn live_present_during(
     engine: &ShardedEngine,
@@ -138,11 +132,14 @@ pub fn merged_present_during(
     out
 }
 
-/// Tier-merged contact tracing: the subject's archived + live stays
-/// drive the same co-location join
+/// Tier-merged contact tracing: the subject's archived + live
+/// exposures drive the same co-location join
 /// [`MovementsDb::contacts`](ltam_engine::movement::MovementsDb::contacts)
 /// runs, with each exposure's presence lookup itself tier-merged (and
 /// both archive sides provenance-filtered at the movements watermark).
+/// The exposures are collected first, so each shard answers all of them
+/// under one lock: the query waits behind a batch apply at most once
+/// per shard, not once per exposure per shard.
 pub fn merged_contacts(
     engine: &ShardedEngine,
     archive: Option<&ArchiveData>,
@@ -150,30 +147,39 @@ pub fn merged_contacts(
     window: Interval,
 ) -> Vec<Contact> {
     let live_from = engine.watermarks().movements;
-    let mut stays: Vec<Stay> = archive
+    let mut exposures: Vec<(LocationId, Interval)> = archive
         .map(|a| {
             a.stays_of(subject)
                 .iter()
                 .filter(|&&(seg_from, _)| seg_from < live_from.get())
-                .map(|&(_, s)| s)
+                .filter_map(|&(_, s)| Some((s.location, s.interval().intersect(window)?)))
                 .collect()
         })
         .unwrap_or_default();
-    stays.extend(live_stays_of(engine, subject));
+    // One shard holds the subject's whole live timeline.
+    let home = engine.shard_for(subject);
+    exposures.extend(engine.read_shard(home, |st| st.movements().exposures(subject, window)));
     let mut out = Vec::new();
-    for s in &stays {
-        let Some(exposure) = s.interval().intersect(window) else {
-            continue;
-        };
-        for (other, overlap) in merged_present_during(engine, archive, s.location, exposure) {
-            if other != subject {
-                out.push(Contact {
-                    other,
-                    location: s.location,
-                    overlap,
-                });
-            }
+    let mut join = |rows: Vec<(SubjectId, Interval)>, location: LocationId| {
+        out.extend(rows.into_iter().filter(|&(other, _)| other != subject).map(
+            |(other, overlap)| Contact {
+                other,
+                location,
+                overlap,
+            },
+        ));
+    };
+    if let Some(a) = archive {
+        for &(location, exposure) in &exposures {
+            join(a.present_during(location, exposure, live_from), location);
         }
+    }
+    for shard in 0..engine.shard_count() {
+        engine.read_shard(shard, |st| {
+            for &(location, exposure) in &exposures {
+                join(st.movements().present_during(location, exposure), location);
+            }
+        });
     }
     out.sort_by_key(|c| (c.other, c.overlap.start()));
     out

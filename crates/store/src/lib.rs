@@ -60,11 +60,10 @@ pub use codec::{
     DecodeError,
 };
 pub use crc::crc32;
-pub use durable::{
-    redistribute, DurableEngine, ReadView, RecoveryReport, RetentionOutcome, StoreConfig,
-};
+pub use durable::{DurableEngine, ReadView, RecoveryReport, RetentionOutcome, StoreConfig};
 pub use group::{CommitHandle, GroupCommit, GroupCommitConfig};
 pub use history::HistoryError;
+pub use ltam_engine::shard::redistribute;
 pub use replica::{ChunkRead, ReplFile, ReplFileId, TailFault, TailScanner, TailStep};
 pub use scratch::{copy_flat_dir, ScratchDir};
 pub use snapshot::{SnapshotStore, StoreSnapshot, SNAPSHOT_VERSION};
